@@ -24,7 +24,7 @@ FUZZ_TARGETS := \
 COVER_PKGS := ./internal/serve ./internal/runtime ./internal/registry
 COVER_FLOOR := 75.0
 
-.PHONY: verify build test race vet staticcheck fuzz cover cover-floor bench bench-smoke bench-micro bench-json bench-json3 bench-check serve-smoke multi-model-smoke autotune-sim
+.PHONY: verify build test race vet staticcheck fuzz cover cover-floor bench bench-smoke bench-micro bench-json bench-json3 bench-check serve-smoke multi-model-smoke autotune-sim servebench-test
 
 verify: build test race vet
 
@@ -119,6 +119,14 @@ bench-check:
 autotune-sim:
 	$(GO) test -race -count=1 -run 'TestSim|TestStore|FuzzStoreDecode|TestTun|TestStartTuner' \
 		./internal/autotune ./internal/runtime
+
+# The serving benchmark's own self-tests. servebench is a separate module
+# (it replaces repro with the checkout it sits in), so the root `go test
+# ./...` never reaches it; among them is the real-stack check that every
+# served response matches its reference bit for bit, which runs through the
+# batcher. Blocking in CI.
+servebench-test:
+	cd servebench && $(GO) test ./...
 
 # End-to-end serving smoke: boot inspire-serve on an ephemeral port, fire a
 # short concurrent load at both models, and fail on any dropped (429) or

@@ -77,8 +77,8 @@ func main() {
 	fuse := flag.Bool("fuse", false, "compile with the graph-level scheduler (fusion + tiling)")
 	shareDict := flag.Bool("share-dict", true,
 		"intern index-pair programs through one shared dictionary store across models and versions")
-	maxBatch := flag.Int("max-batch", 32, "flush a batch at this many compiled-batch chunks")
-	slo := flag.Duration("slo", 2*time.Millisecond, "max coalescing wait per request (0 = immediate flush)")
+	maxBatch := flag.Int("max-batch", 32, "most compiled-batch chunks one flush carries")
+	slo := flag.Duration("slo", 2*time.Millisecond, "max wait for companions behind a running flush; an idle batcher dispatches at once (0 = never wait)")
 	queue := flag.Int("queue", 4096, "admission queue depth per model (full queue = 429)")
 	workers := flag.Int("workers", 0, "RunBatch workers per flush (0 = GOMAXPROCS)")
 	inflight := flag.Int("inflight", 2, "concurrent RunBatch flushes per model")

@@ -259,10 +259,10 @@ func (s *AutotuneStats) Publish(current string, execs, explores, promotions int6
 
 // EndpointStats aggregates one serving endpoint's traffic: completed and
 // rejected requests, dispatched batches and the chunk counts they coalesced,
-// queue-depth extents, and the end-to-end request latency histogram. The
-// QPS window runs from the first to the last completed request. All methods
-// are atomic and nil-safe, so the serving path holds a possibly-nil handle
-// and records unconditionally.
+// queue-depth extents, and the end-to-end request latency and batcher wait
+// histograms. The QPS window runs from the first to the last completed
+// request. All methods are atomic and nil-safe, so the serving path holds a
+// possibly-nil handle and records unconditionally.
 type EndpointStats struct {
 	name string
 
@@ -288,6 +288,9 @@ type EndpointStats struct {
 	// Lat is the end-to-end request latency (submit to result, including
 	// queueing and coalescing wait).
 	Lat Hist
+	// Wait is the batcher wait per request, from enqueue to the start of
+	// the flush that carries it: Lat minus Wait is execution and delivery.
+	Wait Hist
 }
 
 // Name returns the endpoint's registration name.
@@ -308,6 +311,14 @@ func (s *EndpointStats) RecordRequest(latNs, nowUnixNs int64) {
 	s.Lat.Observe(latNs)
 	atomicMinNZ(&s.firstNs, nowUnixNs)
 	atomicMax(&s.lastNs, nowUnixNs)
+}
+
+// RecordWait logs one request's batcher wait, enqueue to flush start.
+func (s *EndpointStats) RecordWait(ns int64) {
+	if s == nil {
+		return
+	}
+	s.Wait.Observe(ns)
 }
 
 // RecordFlush logs one dispatched batch carrying items compiled-batch

@@ -264,7 +264,7 @@ func BenchmarkEnabledCount(b *testing.B) {
 
 // TestEndpointRecordSnapshot exercises the serving-endpoint series: request
 // and rejection accounting, batch-coalescing evidence (mean batch), queue
-// extents, and the QPS window.
+// extents, the batcher wait, and the QPS window.
 func TestEndpointRecordSnapshot(t *testing.T) {
 	r := New()
 	ep := r.Endpoint("lenet5")
@@ -275,6 +275,9 @@ func TestEndpointRecordSnapshot(t *testing.T) {
 	ep.RecordRequest(1000, base)
 	ep.RecordRequest(3000, base+2e9) // 3 requests over 4 s -> 0.5 QPS
 	ep.RecordRequest(2000, base+4e9)
+	ep.RecordWait(100)
+	ep.RecordWait(400)
+	ep.RecordWait(0) // clamped to 1 ns, like every Hist sample
 	ep.RecordFlush(1)
 	ep.RecordFlush(2)
 	ep.ObserveQueueDepth(3)
@@ -303,6 +306,9 @@ func TestEndpointRecordSnapshot(t *testing.T) {
 	if e.Latency.Count != 3 || e.Latency.MaxNs != 3000 {
 		t.Errorf("latency = %+v", e.Latency)
 	}
+	if e.Wait.Count != 3 || e.Wait.SumNs != 501 || e.Wait.MinNs != 1 || e.Wait.MaxNs != 400 {
+		t.Errorf("wait = %+v", e.Wait)
+	}
 	if e.QPS < 0.49 || e.QPS > 0.51 {
 		t.Errorf("qps = %v, want 0.5", e.QPS)
 	}
@@ -316,8 +322,11 @@ func TestEndpointRecordSnapshot(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Endpoints) != 1 || back.Endpoints[0].MeanBatch != 1.5 {
+	if len(back.Endpoints) != 1 || back.Endpoints[0].MeanBatch != 1.5 || back.Endpoints[0].Wait != e.Wait {
 		t.Errorf("round-trip endpoints = %+v", back.Endpoints)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"wait": {`)) {
+		t.Errorf("snapshot JSON has no wait histogram: %s", buf.Bytes())
 	}
 }
 
@@ -331,11 +340,12 @@ func TestEndpointNilSafety(t *testing.T) {
 	var ep *EndpointStats
 	ep.RecordRequest(10, 20)
 	ep.RecordFlush(4)
+	ep.RecordWait(7)
 	ep.ObserveQueueDepth(9)
 	if ep.Name() != "" {
 		t.Error("nil EndpointStats name")
 	}
-	if snap := ep.Snapshot(); snap.Requests != 0 {
+	if snap := ep.Snapshot(); snap.Requests != 0 || snap.Wait.Count != 0 {
 		t.Errorf("nil snapshot = %+v", snap)
 	}
 }

@@ -238,14 +238,15 @@ func PoolTable(s metrics.Snapshot) *report.Table {
 
 // EndpointTable renders the serving-endpoint telemetry: request admission
 // outcomes, batch coalescing evidence (flush count and mean/max coalesced
-// batch), admission-queue high water, sustained request rate, and the
-// request latency distribution. Snapshots from processes that never served
-// (no endpoints registered) render a header-only table.
+// batch), admission-queue high water, sustained request rate, the request
+// latency distribution, and the batcher wait (enqueue to flush start) that
+// separates coalescing from execution. Snapshots from processes that never
+// served (no endpoints registered) render a header-only table.
 func EndpointTable(title string, s metrics.Snapshot) *report.Table {
 	t := report.NewTable(title,
 		"endpoint", "requests", "errors", "429", "closed", "flushes",
 		"mean batch", "max batch", "queue max", "qps",
-		"p50 ns", "p99 ns", "max ns")
+		"p50 ns", "p99 ns", "max ns", "wait p50 ns", "wait p99 ns")
 	for _, ep := range s.Endpoints {
 		t.AddRow(
 			ep.Name,
@@ -261,6 +262,8 @@ func EndpointTable(title string, s metrics.Snapshot) *report.Table {
 			report.Count(ep.Latency.P50Ns),
 			report.Count(ep.Latency.P99Ns),
 			report.Count(ep.Latency.MaxNs),
+			report.Count(ep.Wait.P50Ns),
+			report.Count(ep.Wait.P99Ns),
 		)
 	}
 	return t

@@ -436,7 +436,7 @@ func (r *Registry) ExtendMux(mux *http.ServeMux) {
 		name := req.PathValue("model")
 		var body versionRequest
 		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			httpJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 			return
 		}
 		v, err := r.Swap(name, body.Seed)
@@ -445,30 +445,24 @@ func (r *Registry) ExtendMux(mux *http.ServeMux) {
 			if err == serve.ErrUnknownModel {
 				status = http.StatusNotFound
 			}
-			httpJSON(w, status, map[string]string{"error": err.Error()})
+			serve.WriteJSON(w, status, map[string]string{"error": err.Error()})
 			return
 		}
 		m, _ := r.model(name)
-		httpJSON(w, http.StatusOK, versionResponse{
+		serve.WriteJSON(w, http.StatusOK, versionResponse{
 			Model: name, Version: v.Version, Seed: v.Seed, Swaps: m.Swaps(),
 		})
 	})
 	mux.HandleFunc("GET /v1/models/{model}/metrics", func(w http.ResponseWriter, req *http.Request) {
 		name := req.PathValue("model")
 		if _, ok := r.model(name); !ok {
-			httpJSON(w, http.StatusNotFound, map[string]string{"error": "unknown model"})
+			serve.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown model"})
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		metrics.Capture().FilterModel(name).WriteJSON(w)
 	})
 	mux.HandleFunc("GET /v1/registry", func(w http.ResponseWriter, _ *http.Request) {
-		httpJSON(w, http.StatusOK, map[string]any{"models": r.Residency()})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"models": r.Residency()})
 	})
-}
-
-func httpJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

@@ -44,18 +44,26 @@ func setChunkHook(t *testing.T, h func(int) error, dispatched *int) {
 }
 
 // TestRunBatchReturnsLowestIndexError fails two chunks — the higher index
-// deterministically first (serial workers would hit it first only with
-// cancellation disabled) — and checks the returned error is the
-// lowest-index failure, wrapped with its chunk index.
+// first — and checks the returned error is the lowest-index failure,
+// wrapped with its chunk index. Chunk 5's hook waits until chunk 2 has
+// entered its hook, and chunk 2 fails only after chunk 5 has: without that
+// handshake a loaded machine can let chunk 5 fail and cancel the batch
+// before chunk 2 starts, and chunk 2 then never fails at all.
 func TestRunBatchReturnsLowestIndexError(t *testing.T) {
 	plan := errPlan(t)
 	errLow := errors.New("low boom")
 	errHigh := errors.New("high boom")
+	lowEntered := make(chan struct{})
+	highFailing := make(chan struct{})
 	setChunkHook(t, func(chunk int) error {
 		switch chunk {
 		case 2:
+			close(lowEntered)
+			<-highFailing
 			return errLow
 		case 5:
+			<-lowEntered
+			close(highFailing)
 			return errHigh
 		}
 		return nil

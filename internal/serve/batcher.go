@@ -4,13 +4,15 @@
 // handler plus load-generator harness built on top of them.
 //
 // The batcher is the heart of the package. Each model gets one batcher
-// goroutine that pulls requests off a bounded admission queue and flushes a
-// coalesced batch when either the pending chunk count reaches MaxBatch or
-// the oldest request has waited SLO, whichever comes first. Flushes run on
-// a bounded number of in-flight RunBatch calls; when all are busy the
-// batcher stalls, the queue fills, and new submissions are rejected with
-// ErrOverloaded (HTTP 429) — admission control instead of unbounded
-// buffering.
+// goroutine that pulls requests off a bounded admission queue. It is
+// work-conserving: when no flush is running, a batch dispatches at once
+// with whatever is already queued. Only behind a running flush does a batch
+// wait, up to SLO, for companions, and while every flush slot is busy it
+// keeps absorbing queued requests up to MaxBatch chunks. Flushes run on a
+// bounded number of in-flight RunBatch calls; once the pending batch is
+// full and all slots are busy the batcher stalls, the queue fills, and new
+// submissions are rejected with ErrOverloaded (HTTP 429) — admission
+// control instead of unbounded buffering.
 package serve
 
 import (
@@ -34,16 +36,21 @@ var ErrOverloaded = errors.New("serve: overloaded: admission queue full")
 // HTTP maps it to 503 Service Unavailable.
 var ErrClosed = errors.New("serve: closed")
 
+// ErrInvalidInput wraps every shape-validation failure of Submit: the
+// caller's fault, which HTTP maps to 400 Bad Request.
+var ErrInvalidInput = errors.New("serve: invalid input")
+
 // Config tunes one model's dynamic batcher. The zero value serves with the
 // documented defaults.
 type Config struct {
-	// MaxBatch flushes a batch once the pending compiled-batch chunk count
-	// reaches it (default 32). A single request larger than MaxBatch is
-	// admitted and flushed alone, never split.
+	// MaxBatch caps a batch's compiled-batch chunk count (default 32). A
+	// single request larger than MaxBatch is admitted and flushed alone,
+	// never split.
 	MaxBatch int
-	// SLO is the longest a request may wait for coalescing before its
-	// batch flushes (deadline trigger). 0 means flush immediately with
-	// whatever is instantaneously queued (bursts still coalesce).
+	// SLO is the longest a new batch waits for companions behind a running
+	// flush. With no flush in flight a batch dispatches at once whatever
+	// SLO says; 0 never waits (bursts that are already queued still
+	// coalesce).
 	SLO time.Duration
 	// QueueDepth bounds the admission queue in requests (default 1024);
 	// submissions beyond it fail with ErrOverloaded.
@@ -52,7 +59,8 @@ type Config struct {
 	Workers int
 	// MaxInFlight bounds concurrent RunBatch flushes (default 2): one
 	// filling while one drains keeps the executor pool busy without
-	// unbounded checkout growth.
+	// unbounded checkout growth. While all are busy the pending batch keeps
+	// absorbing queued requests up to MaxBatch.
 	MaxInFlight int
 }
 
@@ -73,11 +81,13 @@ func (c Config) withDefaults() Config {
 }
 
 // request is one submitted inference: its input (batch dim = chunks ×
-// compiled batch), the chunk count, and the channel its result comes back
-// on (buffered so the flusher never blocks on delivery).
+// compiled batch), the chunk count, when it was submitted, and the channel
+// its result comes back on (buffered so the flusher never blocks on
+// delivery).
 type request struct {
 	input  *tensor.Tensor
 	chunks int
+	start  time.Time
 	resp   chan result
 }
 
@@ -138,17 +148,16 @@ func (b *Batcher) Plan() *runtime.Plan { return b.plan }
 // more than one request, in which case it aliases the batch result — either
 // way it is the caller's to read and never recycled by the batcher.
 //
-// Errors: a shape mismatch returns the validation error; a full queue
-// returns ErrOverloaded; submission after Close returns ErrClosed; an
-// execution failure returns RunBatch's error (every request of the failed
-// batch gets it).
+// Errors: a shape mismatch returns an error wrapping ErrInvalidInput; a
+// full queue returns ErrOverloaded; submission after Close returns
+// ErrClosed; an execution failure returns RunBatch's error (every request
+// of the failed batch gets it).
 func (b *Batcher) Submit(input *tensor.Tensor) (*tensor.Tensor, error) {
 	chunks, err := b.validate(input)
 	if err != nil {
 		return nil, err
 	}
-	req := &request{input: input, chunks: chunks, resp: make(chan result, 1)}
-	start := time.Now()
+	req := &request{input: input, chunks: chunks, start: time.Now(), resp: make(chan result, 1)}
 
 	// The read lock pairs with Close's write lock: any Submit that sees
 	// closed == false finishes its enqueue before Close proceeds to stop
@@ -184,7 +193,7 @@ func (b *Batcher) Submit(input *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, res.err
 	}
 	now := time.Now()
-	b.eps.RecordRequest(now.Sub(start).Nanoseconds(), now.UnixNano())
+	b.eps.RecordRequest(now.Sub(req.start).Nanoseconds(), now.UnixNano())
 	return res.out, nil
 }
 
@@ -193,17 +202,17 @@ func (b *Batcher) Submit(input *tensor.Tensor) (*tensor.Tensor, error) {
 func (b *Batcher) validate(input *tensor.Tensor) (int, error) {
 	inShape := b.plan.Graph.In.OutShape
 	if input.Shape().Rank() != inShape.Rank() {
-		return 0, fmt.Errorf("serve: input rank %d != compiled input %v", input.Shape().Rank(), inShape)
+		return 0, fmt.Errorf("%w: rank %d != compiled input %v", ErrInvalidInput, input.Shape().Rank(), inShape)
 	}
 	for d := 1; d < inShape.Rank(); d++ {
 		if input.Dim(d) != inShape[d] {
-			return 0, fmt.Errorf("serve: input shape %v does not match compiled input %v in dim %d",
-				input.Shape(), inShape, d)
+			return 0, fmt.Errorf("%w: shape %v does not match compiled input %v in dim %d",
+				ErrInvalidInput, input.Shape(), inShape, d)
 		}
 	}
 	if input.Dim(0)%inShape[0] != 0 {
-		return 0, fmt.Errorf("serve: batch %d is not a multiple of the compiled batch %d",
-			input.Dim(0), inShape[0])
+		return 0, fmt.Errorf("%w: batch %d is not a multiple of the compiled batch %d",
+			ErrInvalidInput, input.Dim(0), inShape[0])
 	}
 	return input.Dim(0) / inShape[0], nil
 }
@@ -256,56 +265,74 @@ func (b *Batcher) drain() {
 	}
 }
 
-// gatherAndFlush coalesces requests behind first until the batch is full,
-// the SLO deadline passes, or shutdown begins, then dispatches the batch.
+// gatherAndFlush builds a batch behind first and dispatches it. The batcher
+// is work-conserving: with no flush in flight the batch leaves at once with
+// whatever is already queued, because nothing could gain from waiting. Only
+// behind a running flush does it wait up to SLO for companions, and while
+// every flush slot is busy it keeps absorbing queued requests (up to
+// MaxBatch) until a slot frees. Shutdown ends the SLO wait early.
 func (b *Batcher) gatherAndFlush(first *request) {
 	batch := []*request{first}
 	pending := first.chunks
-	if pending < b.cfg.MaxBatch && b.cfg.SLO > 0 {
+	// Take whatever the burst already queued.
+greedy:
+	for pending < b.cfg.MaxBatch {
+		select {
+		case r := <-b.queue:
+			batch = append(batch, r)
+			pending += r.chunks
+		default:
+			break greedy
+		}
+	}
+	// Only the loop acquires flush slots, so an empty semaphore here stays
+	// acquirable until dispatch below.
+	if len(b.flight) > 0 && pending < b.cfg.MaxBatch && b.cfg.SLO > 0 {
 		timer := time.NewTimer(b.cfg.SLO)
-	gather:
+	wait:
 		for pending < b.cfg.MaxBatch {
 			select {
 			case r := <-b.queue:
 				batch = append(batch, r)
 				pending += r.chunks
 			case <-timer.C:
-				break gather
+				break wait
 			case <-b.done:
-				break gather
+				break wait
 			}
 		}
 		timer.Stop()
-	} else if pending < b.cfg.MaxBatch {
-		// SLO 0: no deadline to wait out — flush immediately with whatever
-		// the burst already queued.
-	greedy:
-		for pending < b.cfg.MaxBatch {
-			select {
-			case r := <-b.queue:
-				batch = append(batch, r)
-				pending += r.chunks
-			default:
-				break greedy
-			}
-		}
 	}
 	b.dispatch(batch, pending)
 }
 
-// dispatch launches one gathered batch on a flush slot. Acquiring the slot
-// blocks the batcher loop while MaxInFlight flushes are running — that
-// stall is the backpressure that fills the queue and trips ErrOverloaded.
+// dispatch launches one gathered batch on a flush slot. While all
+// MaxInFlight slots are busy the batch keeps absorbing queued requests up
+// to MaxBatch chunks; once it is full, the loop blocks on the slot, and
+// that stall is the backpressure that fills the queue and trips
+// ErrOverloaded.
 func (b *Batcher) dispatch(batch []*request, chunks int) {
-	b.flight <- struct{}{}
-	b.flushes.Add(1)
-	go func() {
-		defer func() {
-			<-b.flight
-			b.flushes.Done()
-		}()
-		b.flush(batch, chunks)
-	}()
+	for {
+		queue := b.queue
+		if chunks >= b.cfg.MaxBatch {
+			queue = nil // full: only a free slot can proceed
+		}
+		select {
+		case b.flight <- struct{}{}:
+			b.flushes.Add(1)
+			go func() {
+				defer func() {
+					<-b.flight
+					b.flushes.Done()
+				}()
+				b.flush(batch, chunks)
+			}()
+			return
+		case r := <-queue:
+			batch = append(batch, r)
+			chunks += r.chunks
+		}
+	}
 }
 
 // flush joins the batch's inputs, runs them as one RunBatch call, and
@@ -313,6 +340,12 @@ func (b *Batcher) dispatch(batch []*request, chunks int) {
 func (b *Batcher) flush(batch []*request, chunks int) {
 	if b.flushHook != nil {
 		b.flushHook()
+	}
+	if b.eps != nil {
+		now := time.Now()
+		for _, r := range batch {
+			b.eps.RecordWait(now.Sub(r.start).Nanoseconds())
+		}
 	}
 	b.eps.RecordFlush(chunks)
 

@@ -61,14 +61,15 @@ func sameData(t *testing.T, got, want *tensor.Tensor) {
 	}
 }
 
-// TestBatcherSingleRequestDeadlineFlush submits one request with a large
-// MaxBatch: only the SLO deadline can flush it, and the result must match
-// a direct run.
-func TestBatcherSingleRequestDeadlineFlush(t *testing.T) {
+// TestBatcherIdleDispatchesImmediately submits one request to an idle
+// batcher with a long SLO: with no flush in flight nothing could join the
+// batch, so it must dispatch at once, and its output must match a direct
+// run bit for bit.
+func TestBatcherIdleDispatchesImmediately(t *testing.T) {
 	rec := runtime.EnableMetrics()
 	defer runtime.DisableMetrics()
 	plan := testPlan(t)
-	b := NewBatcher("m", plan, Config{MaxBatch: 64, SLO: 20 * time.Millisecond})
+	b := NewBatcher("m", plan, Config{MaxBatch: 64, SLO: time.Second})
 	defer b.Close()
 
 	in := testInput(1, 1)
@@ -77,13 +78,87 @@ func TestBatcherSingleRequestDeadlineFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if waited := time.Since(start); waited < 20*time.Millisecond {
-		t.Fatalf("flushed after %v, before the %v SLO deadline", waited, 20*time.Millisecond)
+	if waited := time.Since(start); waited > 500*time.Millisecond {
+		t.Fatalf("idle submit took %v against a %v SLO: it waited for companions", waited, time.Second)
 	}
 	sameData(t, out, expect(t, plan, in))
 	ep := rec.Snapshot().Endpoints
 	if len(ep) != 1 || ep[0].Flushes != 1 || ep[0].Items != 1 || ep[0].Requests != 1 {
 		t.Fatalf("endpoint snapshot = %+v", ep)
+	}
+	if w := ep[0].Wait; w.Count != 1 || w.MaxNs > ep[0].Latency.MaxNs {
+		t.Fatalf("wait %+v against latency %+v", w, ep[0].Latency)
+	}
+}
+
+// stallFirstFlush makes b's first flush signal entered and then block until
+// release closes; later flushes only signal entered.
+func stallFirstFlush(b *Batcher) (entered, release chan struct{}) {
+	entered = make(chan struct{}, 8)
+	release = make(chan struct{})
+	var calls atomic.Int32
+	b.flushHook = func() {
+		entered <- struct{}{}
+		if calls.Add(1) == 1 {
+			<-release
+		}
+	}
+	return entered, release
+}
+
+// enqueue admits one single-item request straight onto b's queue, so the
+// test knows its arrival order and that it was admitted when this returns.
+func enqueue(b *Batcher, seed uint64) *request {
+	r := &request{input: testInput(seed, 1), chunks: 1, start: time.Now(), resp: make(chan result, 1)}
+	b.queue <- r
+	return r
+}
+
+// await receives r's result and checks it against a direct run.
+func await(t *testing.T, plan *runtime.Plan, r *request, seed uint64) {
+	t.Helper()
+	res := <-r.resp
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	sameData(t, res.out, expect(t, plan, testInput(seed, 1)))
+}
+
+// TestBatcherWaitsBehindBusyFlush stalls the first flush with a free second
+// slot: the next request must wait for companions rather than dispatch at
+// once, and a third request arriving inside the SLO must ride its batch.
+func TestBatcherWaitsBehindBusyFlush(t *testing.T) {
+	rec := runtime.EnableMetrics()
+	defer runtime.DisableMetrics()
+	plan := testPlan(t)
+	const slo = 200 * time.Millisecond
+	b := NewBatcher("m", plan, Config{MaxBatch: 64, SLO: slo, MaxInFlight: 2})
+	entered, release := stallFirstFlush(b)
+
+	first := enqueue(b, 1)
+	<-entered // the first flush holds one slot; the second stays free
+
+	start := time.Now()
+	second := enqueue(b, 2)
+	time.Sleep(slo / 4)
+	select {
+	case <-entered:
+		t.Fatal("second request dispatched at once behind a running flush")
+	default:
+	}
+	third := enqueue(b, 3)
+	await(t, plan, second, 2)
+	if waited := time.Since(start); waited < slo {
+		t.Fatalf("second request returned after %v, before the %v SLO", waited, slo)
+	}
+	await(t, plan, third, 3)
+	close(release)
+	await(t, plan, first, 1)
+	b.Close()
+
+	ep := rec.Snapshot().Endpoints[0]
+	if ep.Items != 3 || ep.Flushes != 2 || ep.MaxBatch != 2 {
+		t.Fatalf("items %d flushes %d max batch %d, want 3, 2, 2", ep.Items, ep.Flushes, ep.MaxBatch)
 	}
 }
 
@@ -125,48 +200,42 @@ func TestBatcherOversizedRequest(t *testing.T) {
 	sameData(t, out, expect(t, plan, in))
 }
 
-// TestBatcherCoalesces stalls the flush path, queues several requests, and
-// checks they ride one RunBatch call (mean batch > 1) with each request
-// still getting its own correct slice of the output.
+// TestBatcherCoalesces stalls the only flush slot and queues four more
+// requests, three of them after the SLO has expired: the pending batch must
+// keep absorbing them while it waits for the slot, so exactly two flushes
+// run, and each request still gets its own correct slice of the output.
 func TestBatcherCoalesces(t *testing.T) {
 	rec := runtime.EnableMetrics()
 	defer runtime.DisableMetrics()
 	plan := testPlan(t)
 	b := NewBatcher("m", plan, Config{MaxBatch: 64, SLO: 5 * time.Millisecond, MaxInFlight: 1})
+	entered, release := stallFirstFlush(b)
 
-	// First flush blocks until released, so the next submissions pile up
-	// and coalesce into the second flush.
-	release := make(chan struct{})
-	var gate sync.Once
-	b.flushHook = func() { gate.Do(func() { <-release }) }
-
-	results := make([]*tensor.Tensor, 5)
-	errs := make([]error, 5)
-	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = b.Submit(testInput(uint64(10+i), 1))
-		}(i)
+	reqs := []*request{enqueue(b, 10)}
+	<-entered
+	reqs = append(reqs, enqueue(b, 11))
+	time.Sleep(20 * time.Millisecond) // past the SLO: the batch is waiting on the slot
+	for seed := uint64(12); seed < 15; seed++ {
+		reqs = append(reqs, enqueue(b, seed))
 	}
-	time.Sleep(50 * time.Millisecond) // let all five enqueue / first flush stall
+	// Only the loop receives from the queue, and it is holding the second
+	// batch, so an empty queue means the late three joined that batch.
+	for deadline := time.Now().Add(5 * time.Second); len(b.queue) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d requests still queued: the batch stopped gathering while blocked on the slot", len(b.queue))
+		}
+	}
 	close(release)
-	wg.Wait()
+	for i, r := range reqs {
+		await(t, plan, r, uint64(10+i))
+	}
 	b.Close()
 
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		sameData(t, results[i], expect(t, plan, testInput(uint64(10+i), 1)))
-	}
 	ep := rec.Snapshot().Endpoints[0]
-	if ep.Requests != 5 {
-		t.Fatalf("requests = %d", ep.Requests)
-	}
-	if ep.Flushes >= 5 || ep.MeanBatch <= 1 {
-		t.Fatalf("no coalescing: flushes %d, mean batch %v", ep.Flushes, ep.MeanBatch)
+	if ep.Items != 5 || ep.Flushes != 2 || ep.MaxBatch != 4 {
+		t.Fatalf("items %d flushes %d max batch %d: want 5, 2 and 4 (the batch stopped gathering while blocked on the slot)",
+			ep.Items, ep.Flushes, ep.MaxBatch)
 	}
 }
 
@@ -312,7 +381,7 @@ func TestBatcherShutdownDrain(t *testing.T) {
 }
 
 // TestBatcherValidation rejects malformed inputs before they occupy queue
-// space.
+// space, with errors that wrap ErrInvalidInput.
 func TestBatcherValidation(t *testing.T) {
 	plan := testPlan(t)
 	b := NewBatcher("m", plan, Config{})
@@ -325,8 +394,8 @@ func TestBatcherValidation(t *testing.T) {
 		{"dims", []int{1, 2, 4, 4}},
 	}
 	for _, tc := range cases {
-		if _, err := b.Submit(tensor.New(tc.shape...)); err == nil {
-			t.Errorf("%s: malformed input accepted", tc.name)
+		if _, err := b.Submit(tensor.New(tc.shape...)); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: error %v, want ErrInvalidInput", tc.name, err)
 		}
 	}
 }

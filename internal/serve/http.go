@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -95,7 +94,7 @@ func NewHandler(p Provider) http.Handler {
 				infos = append(infos, info)
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"models": infos})
+		WriteJSON(w, http.StatusOK, map[string]any{"models": infos})
 	})
 	mux.HandleFunc("POST /v1/models/{model}/predict", func(w http.ResponseWriter, r *http.Request) {
 		handlePredict(p, w, r)
@@ -114,13 +113,13 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("model")
 	info, ok := p.Info(name)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown model"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "unknown model"})
 		return
 	}
 	var req PredictRequest
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	shape := req.Shape
@@ -130,13 +129,13 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "non-positive dimension in shape"})
+			WriteJSON(w, http.StatusBadRequest, errorBody{Error: "non-positive dimension in shape"})
 			return
 		}
 		n *= d
 	}
 	if n != len(req.Data) {
-		writeJSON(w, http.StatusBadRequest, errorBody{
+		WriteJSON(w, http.StatusBadRequest, errorBody{
 			Error: "data length does not match shape"})
 		return
 	}
@@ -154,13 +153,13 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "1")
 		case errors.Is(err, ErrClosed):
 			status = http.StatusServiceUnavailable
-		case isValidationError(err):
+		case errors.Is(err, ErrInvalidInput):
 			status = http.StatusBadRequest
 		}
-		writeJSON(w, status, errorBody{Error: err.Error()})
+		WriteJSON(w, status, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{
+	WriteJSON(w, http.StatusOK, PredictResponse{
 		Model:     name,
 		Version:   version,
 		Shape:     out.Shape(),
@@ -169,18 +168,19 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// isValidationError distinguishes Submit's shape-validation failures (the
-// caller's fault: 400) from execution failures (ours: 500).
-func isValidationError(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "does not match compiled input") ||
-		strings.Contains(s, "not a multiple") ||
-		strings.Contains(s, "input rank")
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as a JSON body; every route of the
+// serving mux, including the ones providers add, answers through it. It
+// encodes before writing the header, so a value that cannot be encoded (a
+// model output that overflowed to ±Inf or became NaN, which JSON has no
+// spelling for) answers 500 with the error envelope instead of a 200 with
+// an empty body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/runtime"
+	"repro/internal/tensor"
 )
 
 // newTestServer spins a registry with the tiny plan behind an httptest
@@ -151,5 +154,55 @@ func TestHTTPModelsAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPNonFiniteOutput drives a model whose output overflows to +Inf,
+// which JSON cannot spell: the answer must be a 500 carrying the JSON error
+// envelope, never a 200 with an empty body.
+func TestHTTPNonFiniteOutput(t *testing.T) {
+	g := graph.New("overflow", 1, 1, 4, 4)
+	x := g.Flatten(g.In, "f")
+	fc := tensor.New(3, 16)
+	for i := range fc.Data() {
+		fc.Data()[i] = 1e30
+	}
+	g.SetOutput(g.Dense(x, "fc", fc, nil))
+	plan, err := runtime.Compile(g, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if _, err := reg.Register("overflow", plan, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(reg))
+	defer func() {
+		srv.Close()
+		reg.Close()
+	}()
+
+	data := make([]float32, 16)
+	for i := range data {
+		data[i] = 1e10 // 16 × 1e10 × 1e30 overflows float32
+	}
+	body, _ := json.Marshal(PredictRequest{Data: data})
+	resp, err := http.Post(srv.URL+"/v1/models/overflow/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content type %q", ct)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("error body does not decode: %v", err)
+	}
+	if !strings.Contains(eb.Error, "encoding response") {
+		t.Fatalf("error envelope %q", eb.Error)
 	}
 }
